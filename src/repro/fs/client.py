@@ -37,7 +37,7 @@ from repro.fs.rpc import RpcTransport
 from repro.fs.server import Server
 from repro.fs.sharding import MachineRoster, Placement
 from repro.sim.engine import Engine
-from repro.sim.timers import RecurringTimer, SharedTicker
+from repro.sim.timers import SharedTicker
 
 # Bound counter positions for the hot paths.  The generated attribute
 # properties cost a Python call per bump; the per-block loops below bump
@@ -176,14 +176,10 @@ class ClientKernel:
         self._uncacheable: set[int] = set()
         # The 5-second writeback daemon.  Inside a cluster every client
         # shares one coalesced tick (one heap event per interval for the
-        # whole cluster); standalone clients keep a private timer.
-        if ticker is not None:
-            self._daemon = ticker.subscribe(self._writeback_scan)
-        else:
-            self._daemon = RecurringTimer(
-                engine, config.writeback_scan_interval, self._writeback_scan
-            )
-            self._daemon.start()
+        # whole cluster); a standalone client ticks on its own.
+        if ticker is None:
+            ticker = SharedTicker(engine, config.writeback_scan_interval)
+        self._daemon = ticker.subscribe(self._writeback_scan)
         self._max_cache_blocks = max(
             1, int(config.client_page_count * config.max_cache_fraction)
         )

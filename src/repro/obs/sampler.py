@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import SimulationError
 from repro.fs.counters import ClientCounters, ServerCounters
-from repro.sim.timers import RecurringTimer, SharedTicker
+from repro.sim.timers import SharedTicker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fs.client import ClientKernel
@@ -213,8 +213,8 @@ class CounterSampler:
         #: server keeps the historical ``"server"``; shards are
         #: ``"server-<id>"``.
         self._server_names: list[str] = []
-        #: Either a private RecurringTimer or a shared-tick subscription
-        #: (both expose ``stop()``).
+        #: The shared-tick subscription (a private ticker's when
+        #: attached without one).
         self._timer = None
 
     def attach(
@@ -227,7 +227,7 @@ class CounterSampler:
     ) -> None:
         """Start sampling.  ``ticker`` shares a cluster's coalesced tick
         (one heap event per interval cluster-wide); without one the
-        sampler runs its own private timer.
+        sampler subscribes to a private ticker.
 
         ``server_names`` overrides the per-server machine names.  The
         default infers them from the list handed in -- one server means
@@ -265,13 +265,9 @@ class CounterSampler:
                 machine=name, fields=SERVER_FIELDS, times=[], rows=[],
             )
         self.sample()  # the baseline: integration starts from here
-        if ticker is not None:
-            self._timer = ticker.subscribe(self.sample)
-        else:
-            self._timer = RecurringTimer(
-                engine, self.timeseries.sample_interval, self.sample
-            )
-            self._timer.start()
+        if ticker is None:
+            ticker = SharedTicker(engine, self.timeseries.sample_interval)
+        self._timer = ticker.subscribe(self.sample)
 
     def sample(self) -> None:
         """Read every machine's counters at the current simulated time."""

@@ -37,7 +37,7 @@ from repro.pipeline.codec import decode_artifact, encode_artifact
 
 #: Bump when the serialized artifact layout changes (new fields on trace
 #: records, counters, etc.) so stale entries miss instead of loading.
-SCHEMA_VERSION = 5  # 5: integrity counters appended to counter rows
+SCHEMA_VERSION = 6  # 6: replay payloads always carry server ids and gauges
 
 _MAGIC = b"repro-artifact\n"
 

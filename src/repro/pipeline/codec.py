@@ -443,13 +443,9 @@ def _encode_replay(result: ClusterResult) -> bytes:
 
 def _decode_replay(body: bytes) -> ClusterResult:
     state = pickle.loads(body)
-    unpacked = marshal.loads(state["counters"])
-    if len(unpacked) == 4:
-        server_row, final_rows, snapshot_rows, per_server_rows = unpacked
-    else:
-        # Pre-sharding payload: one server, its aggregate IS the shard.
-        server_row, final_rows, snapshot_rows = unpacked
-        per_server_rows = (server_row,)
+    server_row, final_rows, snapshot_rows, per_server_rows = marshal.loads(
+        state["counters"]
+    )
     make_client = ClientCounters.from_row
     make_server = ServerCounters.from_row
     _new, _osa = object.__new__, object.__setattr__
@@ -476,11 +472,9 @@ def _decode_replay(body: bytes) -> ClusterResult:
         per_server_counters=tuple(
             make_server(row) for row in per_server_rows
         ),
-        # Pre-owned-shard payloads carry none of these; the defaults
-        # (positional server ids, zero gauges) reproduce their meaning.
-        server_ids=tuple(state.get("server_ids", ())),
-        construction_seconds=state.get("construction_seconds", 0.0),
-        tick_events=state.get("tick_events", 0),
+        server_ids=tuple(state["server_ids"]),
+        construction_seconds=state["construction_seconds"],
+        tick_events=state["tick_events"],
     )
 
 

@@ -517,6 +517,21 @@ class TestGroupPlacement:
         with pytest.raises(ConfigError, match="server slice"):
             base.group_view(0, 4).replicas_of(1, 3)  # slice holds only 2
 
+    @pytest.mark.parametrize("num_servers", [1, 2, 4, 8])
+    def test_one_group_view_is_the_global_map(self, num_servers):
+        """One group's view is the cluster-wide map: the classic cluster
+        is the one-group case of the grouped cluster."""
+        base = Placement(num_servers, seed=3)
+        view = base.group_view(0, 1)
+        assert view.chain_width == base.chain_width == num_servers
+        assert view.server_ids == base.server_ids == range(num_servers)
+        for file_id in list(range(-3, 2000)) + [2**40 + 7, 2**63 - 1]:
+            assert view.shard_of(file_id) == base.shard_of(file_id)
+            for r in range(1, num_servers + 1):
+                assert view.replicas_of(file_id, r) == base.replicas_of(
+                    file_id, r
+                )
+
 
 class TestMergeValidation:
     def test_merge_rejects_bad_coverage(self, plan, traces, reference):
