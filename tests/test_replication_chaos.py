@@ -34,8 +34,15 @@ from repro.fs import (
     ProtocolOracle,
     run_cluster_on_trace,
 )
+from repro.common.units import MB
+from repro.fs import Server
+from repro.fs.replication import ReplicationManager
+from repro.fs.sharding import Placement
 from repro.pipeline.runner import run_stage
 from repro.pipeline.tasks import ReplayTask
+from repro.sim.engine import Engine
+from repro.sim.timers import SharedTicker
+from repro.workload import STANDARD_PROFILES, generate_trace
 
 pytestmark = pytest.mark.replication
 
@@ -240,5 +247,48 @@ def test_generated_fault_schedule_stays_oracle_clean(seed, small_trace):
         oracle=oracle,
     )
     assert result.server_counters.crashes > 0
+    assert oracle.checks_run > 0
+    assert oracle.violations == []
+
+
+def test_rereplication_replaces_a_stale_stand_in_copy():
+    """A substitute may still hold a copy from an earlier stand-in term
+    that missed the file's delete; re-replication must seed it with the
+    live replicas' version exactly, not max-merge against the stale
+    (higher) stamp."""
+    engine = Engine()
+    servers = [Server(1 * MB, 4096, server_id=i) for i in range(3)]
+    placement = Placement(3)
+    ReplicationManager(
+        engine, servers, placement, 2, 1, ticker=SharedTicker(engine, 30.0)
+    )
+    file_id = 5
+    primary, second, spare = placement.replicas_of(file_id, 3)
+    for sid in (primary, second):
+        servers[sid].apply_replica_version(file_id, 2)
+    servers[spare].apply_replica_version(file_id, 9)  # stale stand-in copy
+    servers[primary].crash(0.0, 100.0)
+    engine.run_until(30.0)  # one missed heartbeat declares it dead
+    assert servers[primary].counters.failure_detections == 1
+    assert servers[spare].peek_version(file_id) == 2
+
+
+def test_chaos_replay_seed_7004_is_divergence_free():
+    """End to end: the input on which stale stand-in copies once left
+    live replicas diverged (a trace1 day at scale 0.15, seed 7004,
+    first 20k records, server crashes at r=2)."""
+    trace = generate_trace(STANDARD_PROFILES[0], seed=7004, scale=0.15)
+    config = ClusterConfig(
+        client_count=6,
+        num_servers=4,
+        replication_factor=2,
+        faults=FaultConfig(server_crash_rate=0.5, server_downtime=40.0),
+    )
+    oracle = ProtocolOracle(seed=7004, raise_on_violation=False)
+    result = run_cluster_on_trace(
+        trace.records[:20_000], trace.duration, config, seed=7004,
+        oracle=oracle,
+    )
+    assert result.server_counters.rereplicated_files > 0
     assert oracle.checks_run > 0
     assert oracle.violations == []
