@@ -3,13 +3,14 @@
 A cache entry is addressed by the SHA-256 of a canonical JSON encoding
 of everything that determines the artifact: the task kind, the full
 generation parameters (profile knobs, seeds, scale, client count,
-cluster configuration), the schema version, and the library version.
-Change any input and the key changes; nothing is ever invalidated in
-place.
+cluster configuration), the schema version, and a fingerprint of the
+library's own sources (so an entry never outlives the code that made
+it).  Change any input and the key changes; nothing is ever invalidated
+in place.
 
-Entries are serialized by :mod:`repro.pipeline.codec` (row-packed for
-trace-shaped artifacts, plain pickle otherwise) and prefixed with a
-magic string and a payload checksum.  Writes go to a temporary file in the destination directory
+Entries are serialized by :mod:`repro.pipeline.codec` (columnar or
+row-packed for trace-shaped artifacts, plain pickle otherwise) and
+prefixed with a magic string and a payload checksum.  Writes go to a temporary file in the destination directory
 followed by an atomic :func:`os.replace`, so a crashed or concurrent
 writer can never leave a half-written entry under a valid name.  Reads
 treat *any* problem -- missing file, bad magic, checksum mismatch,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -32,14 +34,33 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro import __version__
+import repro
 from repro.pipeline.codec import decode_artifact, encode_artifact
 
 #: Bump when the serialized artifact layout changes (new fields on trace
 #: records, counters, etc.) so stale entries miss instead of loading.
-SCHEMA_VERSION = 6  # 6: replay payloads always carry server ids and gauges
+SCHEMA_VERSION = 7  # 7: every trace is the columnar ``C`` payload
 
 _MAGIC = b"repro-artifact\n"
+
+
+def source_fingerprint(package_root: Path) -> str:
+    """SHA-256 over every ``.py`` source under ``package_root``, each
+    framed by its relative path and length, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(package_root.rglob("*.py")):
+        source = path.read_bytes()
+        name = path.relative_to(package_root).as_posix()
+        digest.update(f"{name}\0{len(source)}\0".encode("utf-8"))
+        digest.update(source)
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """The running ``repro`` package's :func:`source_fingerprint`,
+    computed on first use (not at import) and once per process."""
+    return source_fingerprint(Path(repro.__file__).parent)
 
 
 def default_cache_dir() -> Path:
@@ -96,10 +117,11 @@ class ArtifactCache:
     # --- keys ----------------------------------------------------------------
 
     def key_for(self, fields: dict[str, Any]) -> str:
-        """Hash the key fields (plus schema/library version) to a hex key."""
+        """Hash the key fields (plus schema version and code
+        fingerprint) to a hex key."""
         payload = {
             "schema": SCHEMA_VERSION,
-            "library": __version__,
+            "code": code_fingerprint(),
             **fields,
         }
         blob = json.dumps(

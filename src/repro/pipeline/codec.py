@@ -6,18 +6,23 @@ microseconds per object rebuilding each one.  Loading a cached trace
 that way costs a substantial fraction of regenerating it, which would
 cap the warm-cache speedup well below what the hardware allows.
 
-This codec stores record streams row-packed instead: per-class field
-tables plus one primitive tuple per record, serialized with
-:mod:`marshal` (C-speed for primitives), and rebuilt on load by
-generated per-class constructors that write fields directly with
-``object.__setattr__`` -- skipping ``__init__`` and ``__post_init__``,
-which already ran when the artifact was first built.  Loads run with
-the cyclic GC paused; the rebuilt graphs are trees.
+This codec stores traces as the column arrays they were generated in,
+and other record streams row-packed: per-class field tables plus one
+primitive tuple per record, serialized with :mod:`marshal` (C-speed for
+primitives), and rebuilt on load by generated per-class constructors
+that write fields directly with ``object.__setattr__`` -- skipping
+``__init__`` and ``__post_init__``, which already ran when the artifact
+was first built.  Loads run with the cyclic GC paused; the rebuilt
+graphs are trees.
 
 Payloads are tagged by their first byte:
 
-* ``T`` -- a :class:`~repro.workload.SyntheticTrace` (row-packed records,
-  pickled profile/users/validation).
+* ``C`` -- a :class:`~repro.workload.SyntheticTrace`: the
+  :class:`~repro.trace.columnar.ColumnarTrace` payload marshal-packed,
+  profile/users/validation pickled, and a ``materialized`` flag.
+  Decoding rebuilds the record list from the columns when the flag is
+  set (a trace generated with ``materialize=True``) and never
+  otherwise (``materialize=False`` scale-out generation).
 * ``I`` -- a per-trace ``list[Access]`` in *index form*: open/close
   records stored as indexes into the owning trace's record list, which
   the caller supplies as decode context (the records are then shared
@@ -28,34 +33,28 @@ Payloads are tagged by their first byte:
   counter snapshots, pickled config).
 * ``O`` -- a :class:`~repro.obs.sampler.CounterTimeseries` (per-machine
   sample tables, pure marshal -- no pickle at all).
-* ``C`` -- a columnar-only :class:`~repro.workload.SyntheticTrace`
-  (``materialize=False`` scale-out generation): the
-  :class:`~repro.trace.columnar.ColumnarTrace` payload marshal-packed,
-  profile/users/validation pickled.  Decoding never materializes a
-  record list.
 * ``P`` -- anything else, plain pickle.
 """
 
 from __future__ import annotations
 
 import enum
-import gc
 import marshal
 import pickle
 import typing
-from contextlib import contextmanager
 from dataclasses import fields
 from typing import Any, Callable, Sequence
 
 from repro.analysis.episodes import Access, LogicalRun
+from repro.common.gcpause import gc_paused
 from repro.fs.cluster import ClusterResult
 from repro.fs.counters import ClientCounters, CounterSnapshot, ServerCounters
 from repro.obs.sampler import CounterTimeseries
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import TraceRecord
 from repro.workload.generator import SyntheticTrace
 
 _TAG_PICKLE = b"P"
-_TAG_TRACE = b"T"
 _TAG_ACCESSES = b"A"
 _TAG_ACCESSES_INDEXED = b"I"
 _TAG_REPLAY = b"R"
@@ -147,140 +146,18 @@ def _record_makers(
     return makers
 
 
-@contextmanager
-def _gc_paused():
-    """Pause cyclic GC while allocating large acyclic object graphs."""
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 # --------------------------------------------------------------------------
 # traces
 # --------------------------------------------------------------------------
-#
-# Traces pack *columnar*: per record class, a tuple of original positions
-# plus one column tuple per field.  The decode loop for a class is a
-# single generated function that zips the columns back together, so the
-# per-record cost is just the field writes -- no per-record dispatch,
-# call, or row-tuple allocation.
-
-
-def _make_filler(
-    cls: type, names: Sequence[str], enum_cols: Sequence[int]
-) -> Callable[[Sequence[int], Sequence[tuple], list], None]:
-    """Generate ``fill(positions, cols, out)`` rebuilding one class's
-    records into their original slots of ``out``."""
-    enum_types: dict[int, type] = {}
-    if enum_cols:
-        hints = typing.get_type_hints(cls)
-        enum_types = {col: hints[names[col]] for col in enum_cols}
-    lines = [
-        "def fill(positions, cols, out, _new=_new, _cls=_cls, _osa=_osa, _zip=zip"
-        + "".join(f", _E{col}=_E{col}" for col in enum_cols)
-        + "):",
-        "    for pos, vals in _zip(positions, _zip(*cols)):",
-        "        obj = _new(_cls)",
-    ]
-    for i, name in enumerate(names):
-        value = f"vals[{i}]"
-        if i in enum_types:
-            value = f"_E{i}({value})"
-        lines.append(f"        _osa(obj, {name!r}, {value})")
-    lines.append("        out[pos] = obj")
-    namespace: dict[str, Any] = {
-        "_new": object.__new__,
-        "_cls": cls,
-        "_osa": object.__setattr__,
-        **{f"_E{col}": enum_type for col, enum_type in enum_types.items()},
-    }
-    exec("\n".join(lines), namespace)
-    return namespace["fill"]
-
-
-def _encode_trace(trace: SyntheticTrace) -> bytes:
-    tables: list[tuple[str, tuple[str, ...], tuple[int, ...]]] = []
-    groups: list[tuple[list[int], list[TraceRecord]]] = []
-    index_of: dict[type, int] = {}
-    for position, record in enumerate(trace.records):
-        cls = type(record)
-        index = index_of.get(cls)
-        if index is None:
-            names = tuple(f.name for f in fields(cls))
-            enum_cols = tuple(
-                i
-                for i, name in enumerate(names)
-                if isinstance(getattr(record, name), enum.Enum)
-            )
-            index = len(tables)
-            index_of[cls] = index
-            tables.append((cls.kind, names, enum_cols))
-            groups.append(([], []))
-        positions, members = groups[index]
-        positions.append(position)
-        members.append(record)
-    packed = []
-    for (kind, names, enum_cols), (positions, members) in zip(tables, groups):
-        enum_set = set(enum_cols)
-        cols = tuple(
-            tuple(getattr(r, name).value for r in members)
-            if i in enum_set
-            else tuple(getattr(r, name) for r in members)
-            for i, name in enumerate(names)
-        )
-        packed.append((tuple(positions), cols))
-    body = pickle.dumps(
-        {
-            "records": marshal.dumps(
-                (tables, len(trace.records), packed), _MARSHAL_VERSION
-            ),
-            "profile": trace.profile,
-            "seed": trace.seed,
-            "scale": trace.scale,
-            "users": trace.users,
-            "validation": trace.validation,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    return _TAG_TRACE + body
-
-
-def _decode_trace(body: bytes) -> SyntheticTrace:
-    state = pickle.loads(body)
-    tables, count, packed = marshal.loads(state["records"])
-    records: list[TraceRecord | None] = [None] * count
-    with _gc_paused():
-        for (kind, names, enum_cols), (positions, cols) in zip(tables, packed):
-            cls = TraceRecord._registry.get(kind)
-            if cls is None:
-                raise ValueError(
-                    f"packed artifact references unknown kind {kind!r}"
-                )
-            _make_filler(cls, names, enum_cols)(positions, cols, records)
-    if any(record is None for record in records):
-        raise ValueError("packed trace has gaps")
-    return SyntheticTrace(
-        profile=state["profile"],
-        seed=state["seed"],
-        scale=state["scale"],
-        records=records,
-        users=state["users"],
-        validation=state["validation"],
-    )
 
 
 def _encode_columnar_trace(trace: SyntheticTrace) -> bytes:
-    assert trace.columnar is not None
     body = pickle.dumps(
         {
             "columnar": marshal.dumps(
                 trace.columnar.to_payload(), _MARSHAL_VERSION
             ),
+            "materialized": bool(trace.records),
             "profile": trace.profile,
             "seed": trace.seed,
             "scale": trace.scale,
@@ -293,17 +170,16 @@ def _encode_columnar_trace(trace: SyntheticTrace) -> bytes:
 
 
 def _decode_columnar_trace(body: bytes) -> SyntheticTrace:
-    from repro.trace.columnar import ColumnarTrace
-
     state = pickle.loads(body)
+    columnar = ColumnarTrace.from_payload(marshal.loads(state["columnar"]))
     return SyntheticTrace(
         profile=state["profile"],
         seed=state["seed"],
         scale=state["scale"],
-        records=[],
+        records=columnar.materialize() if state["materialized"] else [],
         users=state["users"],
         validation=state["validation"],
-        columnar=ColumnarTrace.from_payload(marshal.loads(state["columnar"])),
+        columnar=columnar,
     )
 
 
@@ -340,30 +216,39 @@ def _encode_accesses_indexed(
     """Pack accesses as indexes into ``records``, or None if they don't
     all resolve (then the standalone form is used instead).
 
-    Records are matched by equality, not identity: when the stage ran in
-    a worker process the Access objects came back through pickle and no
-    longer alias the parent's trace records.
+    Records resolve by identity first: accesses assembled in this
+    process alias the trace's records.  When the stage ran in a worker
+    process the accesses came back through pickle and no longer alias
+    them; only then is the equality map (a hash of every field of every
+    record) built.
     """
-    index_of: dict[TraceRecord, int] = {
-        record: index for index, record in enumerate(records)
-    }
-    entries = []
-    for access in accesses:
-        open_index = index_of.get(access.open_record)
-        close_index = index_of.get(access.close_record)
-        if open_index is None or close_index is None:
+    by_identity = {id(record): index for index, record in enumerate(records)}
+    try:
+        indexes = [
+            (by_identity[id(a.open_record)], by_identity[id(a.close_record)])
+            for a in accesses
+        ]
+    except KeyError:
+        by_value = {record: index for index, record in enumerate(records)}
+        try:
+            indexes = [
+                (by_value[a.open_record], by_value[a.close_record])
+                for a in accesses
+            ]
+        except KeyError:
             return None
-        entries.append(
-            (
-                open_index,
-                close_index,
-                [
-                    (run.is_write, run.offset, run.length, run.end_time)
-                    for run in access.runs
-                ],
-                access.reposition_count,
-            )
+    entries = [
+        (
+            open_index,
+            close_index,
+            [
+                (run.is_write, run.offset, run.length, run.end_time)
+                for run in access.runs
+            ],
+            access.reposition_count,
         )
+        for access, (open_index, close_index) in zip(accesses, indexes)
+    ]
     return _TAG_ACCESSES_INDEXED + marshal.dumps(entries, _MARSHAL_VERSION)
 
 
@@ -374,7 +259,7 @@ def _decode_accesses_indexed(
     make_run = _make_maker(LogicalRun, _RUN_FIELDS, (), offset=0)
     _new, _osa = object.__new__, object.__setattr__
     out: list[Access] = []
-    with _gc_paused():
+    with gc_paused():
         for open_index, close_index, run_rows, repositions in entries:
             access = _new(Access)
             _osa(access, "open_record", records[open_index])
@@ -391,7 +276,7 @@ def _decode_accesses(body: bytes) -> list[Access]:
     make_run = _make_maker(LogicalRun, _RUN_FIELDS, (), offset=0)
     _new, _osa = object.__new__, object.__setattr__
     out: list[Access] = []
-    with _gc_paused():
+    with gc_paused():
         for open_row, close_row, run_rows, repositions in entries:
             access = _new(Access)
             _osa(access, "open_record", makers[open_row[0]](open_row))
@@ -449,7 +334,7 @@ def _decode_replay(body: bytes) -> ClusterResult:
     make_client = ClientCounters.from_row
     make_server = ServerCounters.from_row
     _new, _osa = object.__new__, object.__setattr__
-    with _gc_paused():
+    with gc_paused():
         snapshots: dict[int, list[CounterSnapshot]] = {}
         for cid, rows in snapshot_rows.items():
             per_client = snapshots[cid] = []
@@ -505,9 +390,7 @@ def encode_artifact(artifact: Any, context: dict[str, Any] | None = None) -> byt
     letting access lists pack as record *indexes* rather than copies.
     """
     if isinstance(artifact, SyntheticTrace):
-        if not artifact.records and artifact.columnar is not None:
-            return _encode_columnar_trace(artifact)
-        return _encode_trace(artifact)
+        return _encode_columnar_trace(artifact)
     if isinstance(artifact, ClusterResult):
         return _encode_replay(artifact)
     if isinstance(artifact, CounterTimeseries):
@@ -535,8 +418,6 @@ def decode_artifact(payload: bytes, context: dict[str, Any] | None = None) -> An
     error, at the cache layer).
     """
     tag, body = payload[:1], payload[1:]
-    if tag == _TAG_TRACE:
-        return _decode_trace(body)
     if tag == _TAG_COLUMNAR_TRACE:
         return _decode_columnar_trace(body)
     if tag == _TAG_REPLAY:
@@ -550,6 +431,6 @@ def decode_artifact(payload: bytes, context: dict[str, Any] | None = None) -> An
     if tag == _TAG_OBS:
         return _decode_timeseries(body)
     if tag == _TAG_PICKLE:
-        with _gc_paused():
+        with gc_paused():
             return pickle.loads(body)
     raise ValueError(f"unknown artifact tag {tag!r}")

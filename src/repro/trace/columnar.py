@@ -33,6 +33,7 @@ from dataclasses import fields as dataclass_fields
 from typing import Any, Iterator, Sequence
 
 from repro.common.errors import TraceError
+from repro.common.gcpause import gc_paused
 from repro.trace.records import (
     AccessMode,
     CloseRecord,
@@ -347,10 +348,17 @@ class ColumnarTrace:
             yield from chunk
 
     def materialize(self) -> list[TraceRecord]:
-        """The whole trace as a record list (the classic representation)."""
+        """The whole trace as a record list (the classic representation).
+
+        Built with the cyclic GC paused: records are acyclic, so the
+        collections their allocation would trigger find nothing.  The
+        streaming paths (:meth:`iter_chunks`) leave GC alone -- pausing
+        per transient chunk raises their peak RSS.
+        """
         if len(self) == 0:
             return []
-        return self._materialize_slice(0, len(self))
+        with gc_paused():
+            return self._materialize_slice(0, len(self))
 
     # --- shard math --------------------------------------------------------
 

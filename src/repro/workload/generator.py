@@ -48,12 +48,12 @@ _DIURNAL_PEAK = 1.4
 class SyntheticTrace:
     """One generated 24-hour trace plus its provenance.
 
-    ``records`` is the classic materialized list every analysis
-    consumes.  ``columnar`` is the same stream in columnar form
-    (:class:`~repro.trace.columnar.ColumnarTrace`); when the trace was
-    generated with ``materialize=False`` only ``columnar`` is
-    populated and consumers stream records chunk-at-a-time via
-    :meth:`iter_records` without ever holding the full list.
+    ``columnar`` (:class:`~repro.trace.columnar.ColumnarTrace`) is the
+    stream as generated.  ``records`` is its materialized list, the
+    form every analysis consumes; when the trace was generated with
+    ``materialize=False`` it stays empty and consumers stream records
+    chunk-at-a-time via :meth:`iter_records` without ever holding the
+    full list.
     """
 
     profile: TraceProfile
@@ -62,9 +62,9 @@ class SyntheticTrace:
     records: list[TraceRecord]
     users: list[UserProfile]
     validation: ValidationReport
-    #: Excluded from equality: the columnar form is a redundant view of
-    #: the same stream (cache round-trips may drop or rebuild it).
-    columnar: ColumnarTrace | None = field(default=None, compare=False)
+    #: Excluded from equality: ``records`` already carries the stream
+    #: whenever it is materialized.
+    columnar: ColumnarTrace = field(compare=False)
 
     @property
     def name(self) -> str:
@@ -77,20 +77,14 @@ class SyntheticTrace:
     @property
     def record_count(self) -> int:
         """Number of records without forcing materialization."""
-        if self.records:
-            return len(self.records)
-        if self.columnar is not None:
-            return len(self.columnar)
-        return 0
+        return len(self.columnar)
 
     def iter_records(self) -> Iterator[TraceRecord]:
-        """The record stream, preferring the bounded-memory columnar
-        path when the materialized list is absent."""
+        """The record stream: the materialized list when there is one,
+        else the bounded-memory columnar stream."""
         if self.records:
             return iter(self.records)
-        if self.columnar is not None:
-            return self.columnar.iter_records()
-        return iter(())
+        return self.columnar.iter_records()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -279,10 +273,11 @@ class TraceGenerator:
     def generate(self, materialize: bool = True) -> SyntheticTrace:
         """Play out the full day and return the sorted, validated trace.
 
-        With ``materialize=False`` the result carries only the columnar
-        form (``records`` stays empty): validation streams transient
-        chunks and no whole-day record list is ever built -- the mode
-        scale-out generation runs in.
+        The day is materialized once and validated from that list.  With
+        ``materialize=False`` the result carries only the columnar form
+        (``records`` stays empty): validation streams transient chunks
+        and no whole-day record list is ever built -- the mode scale-out
+        generation runs in.
         """
         for user in self.users:
             user_rng = self.rng.fork(f"sessions-{user.user_id}")
@@ -304,14 +299,16 @@ class TraceGenerator:
         # time (stable, emission order breaking ties) -- the vectorized
         # equivalent of the classic filter + list.sort.
         columnar = self.emitter.sink.seal(duration=self.profile.duration)
+        records = columnar.materialize() if materialize else []
         report = validate_stream(
-            columnar.iter_records(), allow_open_at_end=True
+            records if materialize else columnar.iter_records(),
+            allow_open_at_end=True,
         )
         return SyntheticTrace(
             profile=self.profile,
             seed=self.seed,
             scale=1.0,
-            records=columnar.materialize() if materialize else [],
+            records=records,
             users=self.users,
             validation=report,
             columnar=columnar,

@@ -6,6 +6,7 @@ records (values *and* types) the old emit-sort-filter pipeline built,
 and streaming consumption must never hold a whole trace in memory.
 """
 
+import gc
 import tracemalloc
 
 import pytest
@@ -24,6 +25,7 @@ from repro.trace.records import (
     ReadRunRecord,
     WriteRunRecord,
 )
+from repro.trace.validate import validate_stream
 from repro.workload import generate_trace
 from repro.workload.profiles import STANDARD_PROFILES
 
@@ -210,6 +212,34 @@ class TestStreamingMemory:
         assert trace.columnar is not None
         assert trace.record_count == len(trace.columnar) > 0
         assert sum(1 for _ in trace.iter_records()) == trace.record_count
+
+
+class TestMaterializeOnce:
+    @pytest.mark.parametrize(
+        "profile_index, seed", [(0, 1), (2, 2), (5, 3), (7, 4)]
+    )
+    def test_validation_matches_the_streamed_columns(self, profile_index, seed):
+        """``generate`` validates its materialized list; the report is
+        the one the columnar stream gives."""
+        trace = generate_trace(
+            STANDARD_PROFILES[profile_index],
+            seed=seed,
+            scale=0.02,
+            client_count=4,
+        )
+        assert trace.validation == validate_stream(
+            trace.columnar.iter_records()
+        )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_materialize_restores_the_gc_state(self, small_trace, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert small_trace.columnar.materialize() == small_trace.records
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
 
 def test_record_classes_cover_every_registered_kind():
